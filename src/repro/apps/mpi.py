@@ -175,21 +175,24 @@ class JobResult:
         return out
 
 
+#: What a core does while spinning in an MPI wait loop.
+MPI_SPIN_DEMAND = PhaseDemand(
+    name="mpi_spin",
+    ref_seconds=1.0,
+    core_fraction=0.05,
+    memory_fraction=0.05,
+    comm_fraction=0.0,
+    activity_factor=0.45,
+    dram_intensity=0.05,
+)
+
+
 def busy_wait_power_w(node: Node) -> float:
     """Default power drawn by a node spinning in an MPI wait loop."""
-    spin = PhaseDemand(
-        name="mpi_spin",
-        ref_seconds=1.0,
-        core_fraction=0.05,
-        memory_fraction=0.05,
-        comm_fraction=0.0,
-        activity_factor=0.45,
-        dram_intensity=0.05,
-    )
     total = node.spec.platform_power_w
     for pkg in node.packages:
-        freq, _ = pkg.effective_frequency(spin)
-        total += pkg.power_at(spin, freq_ghz=freq)
+        freq, _ = pkg.effective_frequency(MPI_SPIN_DEMAND)
+        total += pkg.power_at(MPI_SPIN_DEMAND, freq_ghz=freq)
     return total
 
 

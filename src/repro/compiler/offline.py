@@ -35,6 +35,7 @@ from repro.apps.mpi import MpiJobSimulator, RuntimeHooks, busy_wait_power_w
 from repro.compiler.clang import ClangToolchain, CompileResult, OptimizationLevel
 from repro.compiler.libraries import LibraryStack
 from repro.hardware.node import Node
+from repro.hardware.power_model import clamp
 from repro.hardware.workload import PhaseDemand
 from repro.sim.rng import RandomStreams
 from repro.telemetry.database import PerformanceDatabase
@@ -153,7 +154,7 @@ class SoftwareAdjustedApplication(Application):
             core_fraction=core_s / total,
             memory_fraction=memory_s / total,
             comm_fraction=comm_s / total,
-            serial_fraction=float(np.clip(demand.serial_fraction * thread_overhead, 0.0, 1.0)),
+            serial_fraction=clamp(demand.serial_fraction * thread_overhead, 0.0, 1.0),
         )
 
     def setup_phases(

@@ -26,6 +26,8 @@ from typing import Any, List, Sequence
 
 import numpy as np
 
+from repro.hardware.power_model import clamp
+
 __all__ = [
     "Parameter",
     "CategoricalParameter",
@@ -126,7 +128,7 @@ class CategoricalParameter(Parameter):
         return idx / (len(self.values) - 1)
 
     def from_unit(self, u: float) -> Any:
-        u = float(np.clip(u, 0.0, 1.0))
+        u = clamp(u, 0.0, 1.0)
         idx = int(round(u * (len(self.values) - 1)))
         return self.values[idx]
 
@@ -228,7 +230,7 @@ class IntegerParameter(Parameter):
         return (value - self.low) / (self.high - self.low)
 
     def from_unit(self, u: float) -> int:
-        u = float(np.clip(u, 0.0, 1.0))
+        u = clamp(u, 0.0, 1.0)
         if self.log:
             value = np.exp(np.log(self.low) + u * (np.log(self.high) - np.log(self.low)))
         else:
@@ -300,7 +302,7 @@ class FloatParameter(Parameter):
         value = float(value)
         if not self.low - 1e-12 <= value <= self.high + 1e-12:
             raise ValueError(f"{self.name}: {value} outside [{self.low}, {self.high}]")
-        return float(np.clip(value, self.low, self.high))
+        return clamp(value, self.low, self.high)
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.from_unit(float(rng.random()))
@@ -316,7 +318,7 @@ class FloatParameter(Parameter):
         return float((value - self.low) / (self.high - self.low))
 
     def from_unit(self, u: float) -> float:
-        u = float(np.clip(u, 0.0, 1.0))
+        u = clamp(u, 0.0, 1.0)
         if self.log:
             return float(np.exp(np.log(self.low) + u * (np.log(self.high) - np.log(self.low))))
         return float(self.low + u * (self.high - self.low))
@@ -351,7 +353,7 @@ class FloatParameter(Parameter):
         value = self.validate(value)
         span = (self.high - self.low) * 0.1
         return [
-            self.validate(np.clip(value + delta, self.low, self.high))
+            self.validate(clamp(value + delta, self.low, self.high))
             for delta in (-span, span)
             if span > 0
         ] or [value]

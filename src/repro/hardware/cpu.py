@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,7 +210,7 @@ class CpuPackage:
     # -- knob setters ----------------------------------------------------
     def clamp_frequency(self, freq_ghz: float) -> float:
         """Clamp a requested frequency to the nearest supported P-state."""
-        freq = float(np.clip(freq_ghz, self.spec.freq_min_ghz, self.max_frequency_ghz))
+        freq = pm.clamp(freq_ghz, self.spec.freq_min_ghz, self.max_frequency_ghz)
         freqs = _cached_pstate_freqs(self.spec)
         feasible = freqs[freqs <= freq + 1e-9]
         if feasible.size == 0:
@@ -225,9 +225,7 @@ class CpuPackage:
 
     def set_uncore_frequency(self, uncore_ghz: float) -> float:
         """Request an uncore frequency; returns the granted value."""
-        granted = float(
-            np.clip(uncore_ghz, self.spec.uncore_min_ghz, self.spec.uncore_max_ghz)
-        )
+        granted = pm.clamp(uncore_ghz, self.spec.uncore_min_ghz, self.spec.uncore_max_ghz)
         self._state.pkg_uncore_ghz[self._index] = granted
         self._state.power_inputs_version += 1
         return granted
@@ -237,11 +235,36 @@ class CpuPackage:
         if watts is None:
             self._state.pkg_power_cap_w[self._index] = self.spec.tdp_w
             return self.spec.tdp_w
-        cap = float(np.clip(watts, self.spec.min_power_cap_w, self.spec.tdp_w))
+        cap = pm.clamp(watts, self.spec.min_power_cap_w, self.spec.tdp_w)
         self._state.pkg_power_cap_w[self._index] = cap
         return cap
 
     # -- power / performance ---------------------------------------------
+    # The hot methods below read the state arrays directly rather than
+    # through the properties above: one descriptor call per access adds up
+    # over a P-state walk.
+    def _powers_at(
+        self,
+        demand: PhaseDemand,
+        freqs: Sequence[float],
+        uncore_ghz: Optional[float],
+        active_cores: Optional[int],
+    ) -> Iterator[float]:
+        """:meth:`power_at` for each frequency of ``freqs``, lazily."""
+        spec = self.spec
+        state, index = self._state, self._index
+        uncore = float(state.pkg_uncore_ghz[index]) if uncore_ghz is None else uncore_ghz
+        cores = spec.cores if active_cores is None else min(active_cores, spec.cores)
+        variation = self.variation
+        # Leakage variation applies to the static share only.
+        return pm.package_powers(
+            demand, freqs, uncore, cores, spec.freq_min_ghz, float(state.pkg_max_freq_ghz[index]),
+            spec.uncore_min_ghz, spec.uncore_max_ghz, spec.params,
+            efficiency_multiplier=variation.power_efficiency,
+            temperature_c=self.thermal.temperature_c, leakage_scale=variation.leakage_scale,
+        )
+
+    # repro-lint: hot
     def power_at(
         self,
         demand: PhaseDemand,
@@ -250,28 +273,9 @@ class CpuPackage:
         active_cores: Optional[int] = None,
     ) -> float:
         """Package + DRAM power for a demand at a hypothetical setting (W)."""
-        freq = self.frequency_ghz if freq_ghz is None else freq_ghz
-        uncore = self.uncore_ghz if uncore_ghz is None else uncore_ghz
-        cores = self.spec.cores if active_cores is None else min(active_cores, self.spec.cores)
-        base = pm.package_power(
-            demand,
-            freq,
-            uncore,
-            cores,
-            self.spec.freq_min_ghz,
-            self.max_frequency_ghz,
-            self.spec.uncore_min_ghz,
-            self.spec.uncore_max_ghz,
-            self.spec.params,
-            efficiency_multiplier=self.variation.power_efficiency,
-            temperature_c=self.thermal.temperature_c,
-        )
-        # Leakage variation applies to the static share only.
-        static_extra = (
-            pm.static_power(self.thermal.temperature_c, self.spec.params)
-            * (self.variation.leakage_scale - 1.0)
-        )
-        return base + static_extra
+        if freq_ghz is None:
+            freq_ghz = float(self._state.pkg_freq_target_ghz[self._index])
+        return next(self._powers_at(demand, (freq_ghz,), uncore_ghz, active_cores))
 
     def idle_power_w(self) -> float:
         """Power drawn when no phase is executing.
@@ -282,6 +286,7 @@ class CpuPackage:
         """
         return self.power_at(IDLE_DEMAND, freq_ghz=self.spec.freq_min_ghz, active_cores=0)
 
+    # repro-lint: hot
     def effective_frequency(
         self, demand: PhaseDemand, active_cores: Optional[int] = None
     ) -> tuple[float, bool]:
@@ -291,19 +296,19 @@ class CpuPackage:
         firmware walks down the P-states until the running-average power
         fits under the cap (or the minimum P-state is reached).
         """
-        target = self.frequency_ghz
-        cap = self.power_cap_w
-        if cap is None:
-            return target, False
+        state, index = self._state, self._index
+        target = float(state.pkg_freq_target_ghz[index])
+        cap = float(state.pkg_power_cap_w[index])
         candidates = [p.frequency_ghz for p in self._pstates if p.frequency_ghz <= target + 1e-9]
         if not candidates:
             candidates = [self.spec.freq_min_ghz]
-        for freq in candidates:  # high to low
-            power = self.power_at(demand, freq_ghz=freq, active_cores=active_cores)
+        powers = self._powers_at(demand, candidates, None, active_cores)
+        for freq, power in zip(candidates, powers):  # high to low
             if power <= cap + 1e-9:
                 return freq, freq < target - 1e-9
         return candidates[-1], True
 
+    # repro-lint: hot
     def execute(
         self,
         demand: PhaseDemand,
@@ -313,15 +318,17 @@ class CpuPackage:
         ref_uncore_ghz: Optional[float] = None,
     ) -> PhaseExecution:
         """Execute a phase, accumulate energy, and return the outcome."""
-        threads = self.spec.cores if threads is None else int(threads)
+        spec = self.spec
+        threads = spec.cores if threads is None else int(threads)
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        threads = min(threads, self.spec.cores)
+        threads = min(threads, spec.cores)
 
-        ref_freq = self.spec.freq_base_ghz if ref_freq_ghz is None else ref_freq_ghz
-        ref_uncore = self.spec.uncore_max_ghz if ref_uncore_ghz is None else ref_uncore_ghz
+        ref_freq = spec.freq_base_ghz if ref_freq_ghz is None else ref_freq_ghz
+        ref_uncore = spec.uncore_max_ghz if ref_uncore_ghz is None else ref_uncore_ghz
 
-        uncore = self.uncore_ghz
+        state, index = self._state, self._index
+        uncore = float(state.pkg_uncore_ghz[index])
         freq, capped = self.effective_frequency(demand, active_cores=threads)
         duration = pm.phase_duration(
             demand,
@@ -330,19 +337,18 @@ class CpuPackage:
             threads,
             ref_freq,
             ref_uncore,
-            self.spec.params,
+            spec.params,
             comm_seconds_override=comm_seconds_override,
         )
         power = self.power_at(demand, freq_ghz=freq, active_cores=threads)
-        cap = self.power_cap_w
-        if cap is not None:
-            power = min(power, max(cap, self.spec.min_power_cap_w))
+        cap = float(state.pkg_power_cap_w[index])
+        power = min(power, max(cap, spec.min_power_cap_w))
         energy = power * duration
         ipc = pm.effective_ipc(demand, duration, freq, threads, ref_freq)
         flops = pm.effective_flops(demand, duration)
 
-        self._state.pkg_energy_j[self._index] += energy
-        self._state.pkg_busy_seconds[self._index] += duration
+        state.pkg_energy_j[index] += energy
+        state.pkg_busy_seconds[index] += duration
         temperature = self.thermal.advance(power, duration)
 
         return PhaseExecution(

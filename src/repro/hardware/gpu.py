@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.hardware.power_model import clamp
+
 __all__ = ["GpuSpec", "GpuExecution", "GpuDevice"]
 
 
@@ -72,25 +74,23 @@ class GpuDevice:
         return self._energy_j
 
     def set_frequency(self, freq_ghz: float) -> float:
-        self._freq_ghz = float(np.clip(freq_ghz, self.spec.freq_min_ghz, self.spec.freq_max_ghz))
+        self._freq_ghz = clamp(freq_ghz, self.spec.freq_min_ghz, self.spec.freq_max_ghz)
         return self._freq_ghz
 
     def set_power_cap(self, watts: Optional[float]) -> Optional[float]:
         if watts is None:
             self._power_cap_w = None
             return None
-        self._power_cap_w = float(
-            np.clip(watts, self.spec.min_power_cap_w, self.spec.max_power_w)
-        )
+        self._power_cap_w = clamp(watts, self.spec.min_power_cap_w, self.spec.max_power_w)
         return self._power_cap_w
 
     def power_at(self, freq_ghz: float, utilization: float) -> float:
         """Power draw at a frequency and utilization level (W)."""
-        utilization = float(np.clip(utilization, 0.0, 1.0))
+        utilization = clamp(utilization, 0.0, 1.0)
         frac = (freq_ghz - self.spec.freq_min_ghz) / (
             self.spec.freq_max_ghz - self.spec.freq_min_ghz
         )
-        frac = float(np.clip(frac, 0.0, 1.0))
+        frac = clamp(frac, 0.0, 1.0)
         dynamic = (self.spec.max_power_w - self.spec.idle_power_w) * utilization * (
             0.35 + 0.65 * frac**2
         )

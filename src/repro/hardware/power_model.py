@@ -18,18 +18,22 @@ on (Conductor, GEOPM, COUNTDOWN, READEX):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.hardware.workload import PhaseDemand
 
 __all__ = [
+    "clamp",
     "PowerModelParams",
     "voltage_at_frequency",
     "core_dynamic_power",
     "uncore_power",
     "dram_power",
+    "core_activity",
     "package_power",
+    "package_powers",
     "phase_duration",
     "effective_ipc",
     "effective_flops",
@@ -91,6 +95,17 @@ class PowerModelParams:
                 raise ValueError(f"{attr} must be >= 0")
 
 
+def clamp(value: float, low: float, high: float) -> float:
+    """``float(np.clip(value, low, high))`` for one scalar, without numpy.
+
+    Equal to it for every float (NaN, +-inf, +-0.0 and subnormals
+    included) whenever ``low <= high``; numpy's per-call dispatch costs
+    ~10x the comparison on a Python float.
+    """
+    value = float(value)
+    return float(low) if value < low else float(high) if value > high else value
+
+
 def voltage_at_frequency(
     freq_ghz: float, freq_min_ghz: float, freq_max_ghz: float, params: PowerModelParams
 ) -> float:
@@ -98,7 +113,7 @@ def voltage_at_frequency(
     if freq_max_ghz <= freq_min_ghz:
         raise ValueError("freq_max must exceed freq_min")
     frac = (freq_ghz - freq_min_ghz) / (freq_max_ghz - freq_min_ghz)
-    frac = float(np.clip(frac, 0.0, 1.0))
+    frac = clamp(frac, 0.0, 1.0)
     return params.v_min + (params.v_max - params.v_min) * frac
 
 
@@ -129,15 +144,15 @@ def uncore_power(
     """Uncore (mesh + LLC + memory controller) power (W)."""
     if uncore_max_ghz <= uncore_min_ghz:
         raise ValueError("uncore_max must exceed uncore_min")
-    frac = float(np.clip((uncore_ghz - uncore_min_ghz) / (uncore_max_ghz - uncore_min_ghz), 0.0, 1.0))
-    utilization = 0.3 + 0.7 * float(np.clip(dram_intensity, 0.0, 1.0))
+    frac = clamp((uncore_ghz - uncore_min_ghz) / (uncore_max_ghz - uncore_min_ghz), 0.0, 1.0)
+    utilization = 0.3 + 0.7 * clamp(dram_intensity, 0.0, 1.0)
     dynamic = (params.uncore_max_power - params.uncore_idle_power) * frac * utilization
     return params.uncore_idle_power + dynamic
 
 
 def dram_power(dram_intensity: float, params: PowerModelParams) -> float:
     """DRAM power for the package's memory channels (W)."""
-    intensity = float(np.clip(dram_intensity, 0.0, 1.0))
+    intensity = clamp(dram_intensity, 0.0, 1.0)
     return params.dram_idle_power + (params.dram_max_power - params.dram_idle_power) * intensity
 
 
@@ -147,6 +162,59 @@ def static_power(temperature_c: float, params: PowerModelParams) -> float:
     return params.static_power * max(0.2, 1.0 + params.leakage_temp_coeff * delta)
 
 
+def core_activity(demand: PhaseDemand) -> float:
+    """Core activity factor of a phase, weighted by how core-bound it is.
+
+    Stall-heavy (memory/communication bound) phases keep cores busy
+    spinning or waiting at far lower switching activity.
+    """
+    busy_weight = (
+        demand.core_fraction * 1.0
+        + demand.memory_fraction * 0.55
+        + demand.comm_fraction * 0.35
+        + demand.other_fraction * 0.4
+    )
+    return demand.activity_factor * busy_weight
+
+
+# repro-lint: hot
+def package_powers(
+    demand: PhaseDemand,
+    freqs: Iterable[float],
+    uncore_ghz: float,
+    active_cores: int,
+    freq_min_ghz: float,
+    freq_max_ghz: float,
+    uncore_min_ghz: float,
+    uncore_max_ghz: float,
+    params: PowerModelParams,
+    efficiency_multiplier: float = 1.0,
+    temperature_c: float | None = None,
+    leakage_scale: float | None = None,
+) -> Iterator[float]:
+    """:func:`package_power` at each core frequency of ``freqs``, lazily.
+
+    Only the core dynamic term depends on the frequency, so the uncore,
+    static and DRAM terms are evaluated once per call; a P-state walk
+    stops pulling at the first frequency that fits.  ``leakage_scale``
+    folds in per-package leakage variation as :func:`package_power_array`
+    does (``static * (leakage_scale - 1)`` on top).
+    """
+    activity = core_activity(demand)
+    p_uncore = uncore_power(uncore_ghz, uncore_min_ghz, uncore_max_ghz, demand.dram_intensity, params)
+    temp = params.ref_temperature if temperature_c is None else temperature_c
+    p_static = static_power(temp, params)
+    p_dram = dram_power(demand.dram_intensity, params)
+    static_extra = None if leakage_scale is None else p_static * (leakage_scale - 1.0)
+    for freq in freqs:
+        p_core = core_dynamic_power(freq, freq_min_ghz, freq_max_ghz, active_cores, activity,
+                                    params, efficiency_multiplier)
+        # Summed in this order on purpose: float addition does not associate.
+        total = p_core + p_uncore + p_static + p_dram
+        yield total if static_extra is None else total + static_extra
+
+
+# repro-lint: hot
 def package_power(
     demand: PhaseDemand,
     freq_ghz: float,
@@ -162,33 +230,13 @@ def package_power(
 ) -> float:
     """Total package power (core + uncore + static) plus DRAM power (W).
 
-    The core activity factor is weighted by how core-bound the phase is:
-    stall-heavy (memory/communication bound) phases keep cores busy
-    spinning or waiting at far lower switching activity.
+    The core activity factor is weighted by how core-bound the phase is
+    (:func:`core_activity`).
     """
-    busy_weight = (
-        demand.core_fraction * 1.0
-        + demand.memory_fraction * 0.55
-        + demand.comm_fraction * 0.35
-        + demand.other_fraction * 0.4
-    )
-    activity = demand.activity_factor * busy_weight
-    p_core = core_dynamic_power(
-        freq_ghz,
-        freq_min_ghz,
-        freq_max_ghz,
-        active_cores,
-        activity,
-        params,
-        efficiency_multiplier,
-    )
-    p_uncore = uncore_power(
-        uncore_ghz, uncore_min_ghz, uncore_max_ghz, demand.dram_intensity, params
-    )
-    temp = params.ref_temperature if temperature_c is None else temperature_c
-    p_static = static_power(temp, params)
-    p_dram = dram_power(demand.dram_intensity, params)
-    return p_core + p_uncore + p_static + p_dram
+    powers = package_powers(demand, (freq_ghz,), uncore_ghz, active_cores, freq_min_ghz,
+                            freq_max_ghz, uncore_min_ghz, uncore_max_ghz, params,
+                            efficiency_multiplier, temperature_c)
+    return next(powers)
 
 
 # -- array (struct-of-arrays) variants ---------------------------------------
@@ -236,7 +284,7 @@ def uncore_power_array(
 ) -> np.ndarray:
     """Uncore power for per-package uncore frequency arrays (W)."""
     frac = np.clip((uncore_ghz - uncore_min_ghz) / (uncore_max_ghz - uncore_min_ghz), 0.0, 1.0)
-    utilization = 0.3 + 0.7 * float(np.clip(dram_intensity, 0.0, 1.0))
+    utilization = 0.3 + 0.7 * clamp(dram_intensity, 0.0, 1.0)
     dynamic = (params.uncore_max_power - params.uncore_idle_power) * frac * utilization
     return params.uncore_idle_power + dynamic
 
@@ -268,13 +316,7 @@ def package_power_array(
     :meth:`CpuPackage.power_at` does (base static power plus
     ``static * (leakage_scale - 1)``).
     """
-    busy_weight = (
-        demand.core_fraction * 1.0
-        + demand.memory_fraction * 0.55
-        + demand.comm_fraction * 0.35
-        + demand.other_fraction * 0.4
-    )
-    activity = demand.activity_factor * busy_weight
+    activity = core_activity(demand)
     p_core = core_dynamic_power_array(
         freq_ghz,
         freq_min_ghz,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.hardware.power_model import clamp
+
 __all__ = ["VariationDraw", "VariationModel"]
 
 
@@ -83,12 +85,10 @@ class VariationModel:
         ) * rng.standard_normal()
         z_turbo = rng.standard_normal()
 
-        power_eff = float(np.clip(1.0 + self.power_sigma * z_power, 0.7, 1.4))
-        leakage = float(np.clip(1.0 + self.leakage_sigma * z_leak, 0.5, 1.8))
+        power_eff = clamp(1.0 + self.power_sigma * z_power, 0.7, 1.4)
+        leakage = clamp(1.0 + self.leakage_sigma * z_leak, 0.5, 1.8)
         # Power-hungry parts tend to reach slightly lower sustained turbo.
-        turbo = float(
-            np.clip(1.0 + self.turbo_sigma * z_turbo - 0.02 * (power_eff - 1.0), 0.85, 1.1)
-        )
+        turbo = clamp(1.0 + self.turbo_sigma * z_turbo - 0.02 * (power_eff - 1.0), 0.85, 1.1)
         return VariationDraw(
             power_efficiency=power_eff, max_turbo_scale=turbo, leakage_scale=leakage
         )

@@ -23,6 +23,7 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.hardware.node import Node
+from repro.hardware.power_model import clamp
 from repro.hardware.workload import PhaseDemand
 
 __all__ = [
@@ -175,7 +176,7 @@ class PowerBalancerAgent(Agent):
             host = node.hostname
             lo = node.spec.min_power_w + self.min_cap_margin_w
             hi = node.max_power_w()
-            caps[host] = float(np.clip(caps[host] * scale, lo, hi))
+            caps[host] = clamp(caps[host] * scale, lo, hi)
             node.set_power_cap(caps[host])
         self._caps = caps
         self.adjustments += 1

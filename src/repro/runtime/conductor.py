@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.apps.mpi import MpiJobSimulator, RegionRecord
+from repro.hardware.power_model import clamp
 from repro.hardware.workload import PhaseDemand
 from repro.runtime.base import JobRuntime, register_runtime
 
@@ -175,7 +176,7 @@ class ConductorRuntime(JobRuntime):
         scale = budget / total
         for node in sim.nodes:
             host = node.hostname
-            value = float(np.clip(caps[host] * scale, node.spec.min_power_w, node.max_power_w()))
+            value = clamp(caps[host] * scale, node.spec.min_power_w, node.max_power_w())
             caps[host] = node.set_power_cap(value) or value
         self._caps = caps
         self.rebalances += 1
