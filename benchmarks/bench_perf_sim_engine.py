@@ -4,9 +4,9 @@ Every PowerStack evaluation replays a workload through the
 :mod:`repro.sim.engine` event loop, so events/sec bounds how fast the
 end-to-end tuner can go.  This microbenchmark drives the kernel with the
 mix the scheduler actually produces — timeout chains per actor, a
-periodic monitor, and fan-in ``AllOf`` conditions — and records
-events/sec into ``BENCH_perf.json``.  The ``__slots__`` layout of
-``Event``/``Timeout``/``Process``/``Condition``/``Environment`` keeps
+periodic monitor, and a fan-in barrier process that joins every actor —
+and records events/sec into ``BENCH_perf.json``.  The ``__slots__``
+layout of ``Event``/``Timeout``/``Process``/``Environment`` keeps
 per-event allocation overhead down on exactly this path.
 """
 
@@ -14,7 +14,7 @@ import time
 
 from conftest import banner, record_perf, run_once
 
-from repro.sim.engine import AllOf, Environment
+from repro.sim.engine import Environment
 
 N_ACTORS = 200
 TIMEOUTS_PER_ACTOR = 250
@@ -52,14 +52,16 @@ def run_simulation():
 
 
 def iter_barrier(env, procs):
-    yield AllOf(env, procs)
+    # Joining the actors one by one waits for the last of them to finish.
+    for proc in procs:
+        yield proc
 
 
 def test_perf_sim_engine_event_throughput(benchmark):
     stats = run_once(benchmark, run_simulation)
     banner(
         f"Perf: simulation kernel — {N_ACTORS} actors x {TIMEOUTS_PER_ACTOR} "
-        f"timeouts + monitor + AllOf barrier"
+        f"timeouts + monitor + join barrier"
     )
     print(
         f"{stats['events']} events in {stats['elapsed_s']:.3f}s -> "

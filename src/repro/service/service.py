@@ -29,6 +29,7 @@ tenant/session key.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -44,7 +45,7 @@ from repro.apps.stream import DgemmKernel, StreamTriad
 from repro.core.objectives import PENALTY_OBJECTIVE
 from repro.core.search.base import SearchAlgorithm, make_search
 from repro.core.space import ParameterSpace
-from repro.core.tuner import BatchAutotuner
+from repro.core.tuner import Autotuner
 from repro.experiments.campaign import Campaign
 from repro.experiments.registry import build_scenario, list_use_cases
 from repro.experiments.shared import make_cluster
@@ -85,7 +86,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# served evaluators (for tuning.run, which drives a BatchAutotuner here)
+# served evaluators (for tuning.run, which drives an Autotuner here)
 # ---------------------------------------------------------------------------
 def quadratic_evaluator(config: Mapping[str, Any]) -> Dict[str, float]:
     """Sum of squared distances of numeric parameters from 1.0."""
@@ -1336,7 +1337,7 @@ class StackService:
         configs: List[Dict[str, Any]] = []
         if not state.search.is_exhausted():
             # Forbidden combinations are rejected service-side without
-            # spending client evaluations — mirroring BatchAutotuner.
+            # spending client evaluations — mirroring Autotuner.
             for config in state.search.ask_batch(count):
                 config = state.space.validate(config)
                 if state.space.is_allowed(config):
@@ -1360,12 +1361,28 @@ class StackService:
                     ServiceErrorCode.BAD_REQUEST,
                     "each result must be an object with 'config' and 'objective'",
                 )
+            objective = entry["objective"]
+            metrics = entry.get("metrics", {})
+            if not (
+                _KIND_CHECKS["dict"](entry["config"])
+                and _KIND_CHECKS["dict"](metrics)
+                and _KIND_CHECKS["number"](objective)
+            ):
+                raise ServiceError(
+                    ServiceErrorCode.BAD_REQUEST,
+                    "each result needs a 'config' object, a numeric 'objective' "
+                    "and an optional 'metrics' object",
+                )
+            # ``abs(x) <= max`` fails for NaN, ±inf and for ints too large
+            # to become a float (``math.isfinite`` would raise on those).
+            if not abs(objective) <= sys.float_info.max:
+                raise ServiceError(ServiceErrorCode.BAD_VALUE, "objective must be finite")
             try:
                 config = state.space.validate(dict(entry["config"]))
-            except (KeyError, ValueError) as error:
+            except (KeyError, TypeError, ValueError) as error:
                 raise ServiceError(ServiceErrorCode.BAD_VALUE, str(error)) from error
-            objective = float(entry["objective"])
-            metrics = dict(entry.get("metrics", {}))
+            objective = float(objective)
+            metrics = dict(metrics)
             feasible = bool(entry.get("feasible", True))
             parsed.append((config, objective, metrics, feasible))
         session.charge(len(parsed))
@@ -1432,7 +1449,7 @@ class StackService:
         if seed is None:
             seed = int(session.streams.stream(f"tuning-run:{run_id}").integers(0, 2**31 - 1))
         try:
-            tuner = BatchAutotuner(
+            tuner = Autotuner(
                 space,
                 fn,
                 batch_size=int(batch_size),

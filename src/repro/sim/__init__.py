@@ -9,18 +9,14 @@ subpackage provides a small, dependency-free discrete-event simulation
 * :class:`~repro.sim.engine.Environment` — the event loop and clock.
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout`,
   :class:`~repro.sim.engine.Process` — the primitives simulated actors
-  are written with (generator-based coroutines).
-* :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store` — shared-resource primitives used
-  by the scheduler and node models.
+  are written with (generator-based coroutines).  Shared resources
+  (nodes, power budget) are modelled by the cluster and scheduler
+  themselves, not by generic DES resource primitives.
 * :class:`~repro.sim.rng.RandomStreams` — named, reproducible random
   number streams so experiments are deterministic for a given seed.
 """
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -28,21 +24,14 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "RandomStreams",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -9,15 +9,16 @@ event is processed.
 
 The implementation intentionally mirrors SimPy's public surface for the
 subset we need (``env.process``, ``env.timeout``, ``env.run``,
-``event.succeed``, ``AllOf`` / ``AnyOf`` conditions, process
-interrupts), so readers familiar with SimPy can follow the higher-level
-PowerStack components without learning a new API.
+``event.succeed``, process interrupts, and one process ``yield``-ing
+another to wait for its result), so readers familiar with SimPy can
+follow the higher-level PowerStack components without learning a new
+API.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "SimulationError",
@@ -26,14 +27,11 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AllOf",
-    "AnyOf",
     "Environment",
 ]
 
-# Event priorities: URGENT events (resource bookkeeping) run before
-# NORMAL events scheduled at the same timestamp.
+# Event priorities: URGENT events (process start-up and interrupts) run
+# before NORMAL events scheduled at the same timestamp.
 URGENT = 0
 NORMAL = 1
 
@@ -137,13 +135,6 @@ class Event:
             self.succeed(event._value)
         else:
             self.fail(event._value)
-
-    # -- composition ---------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
@@ -286,80 +277,6 @@ class Process(Event):
         self.env._active_process = None
 
 
-class Condition(Event):
-    """Waits on a set of events until ``evaluate`` says it is satisfied."""
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-
-        if not self._events:
-            self.succeed(self._collect_values())
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict:
-        return {
-            event: event._value
-            for event in self._events
-            if event.triggered and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Triggers when all of the given events have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers when any of the given events has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)
-
-
 class Environment:
     """The simulation environment: clock, event queue, and run loop."""
 
@@ -390,12 +307,6 @@ class Environment:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

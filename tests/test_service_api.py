@@ -663,6 +663,51 @@ def test_tuning_errors():
     assert bad_tell.error["code"] == ServiceErrorCode.BAD_REQUEST.value
 
 
+_BAD_REQUEST = ServiceErrorCode.BAD_REQUEST.value
+_BAD_VALUE = ServiceErrorCode.BAD_VALUE.value
+
+
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        ({"objective": None}, _BAD_REQUEST),
+        ({"objective": [1.0]}, _BAD_REQUEST),
+        ({"objective": {"v": 1.0}}, _BAD_REQUEST),
+        ({"objective": True}, _BAD_REQUEST),
+        ({"objective": "1.0"}, _BAD_REQUEST),
+        ({"objective": math.nan}, _BAD_VALUE),
+        ({"objective": math.inf}, _BAD_VALUE),
+        ({"objective": -math.inf}, _BAD_VALUE),
+        ({"objective": 10**400}, _BAD_VALUE),
+        ({"config": [1]}, _BAD_REQUEST),
+        ({"config": 1}, _BAD_REQUEST),
+        ({"config": {"x": {"nested": 1}}}, _BAD_VALUE),
+        ({"metrics": [["runtime_s", 1.0]]}, _BAD_REQUEST),
+        ({"metrics": 1}, _BAD_REQUEST),
+    ],
+)
+def test_tuning_tell_rejects_malformed_results_without_side_effects(change, code):
+    client = ServiceClient(make_service())
+    session = client.open_session("acme", role="runtime", quota=10)
+    tuner_id = session.result(
+        "tuning.open", parameters={"x": [1, 2]}, search="grid"
+    )["tuner_id"]
+    session.result(
+        "tuning.tell", tuner_id=tuner_id, results=[{"config": {"x": 1}, "objective": 1.0}]
+    )
+    best = session.result("tuning.best", tuner_id=tuner_id)
+    used = session.result("session.info")["used_evaluations"]
+
+    result = {"config": {"x": 2}, "objective": 0.5, **change}
+    bad = session.call("tuning.tell", tuner_id=tuner_id, results=[result])
+    assert bad.error["code"] != ServiceErrorCode.INTERNAL.value
+    assert bad.error["code"] == code
+    assert session.result("session.info")["used_evaluations"] == used
+    assert session.result("tuning.best", tuner_id=tuner_id) == best
+    assert best["best"]["objective"] == 1.0
+    assert session.result("tuning.close", tuner_id=tuner_id)["told_total"] == 1
+
+
 # ---------------------------------------------------------------------------
 # database plane: tenant isolation
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -205,33 +203,6 @@ def test_interrupt_terminated_process_rejected():
     env.run()
     with pytest.raises(SimulationError):
         proc.interrupt()
-
-
-def test_all_of_collects_all_values():
-    env = Environment()
-    t1 = env.timeout(1.0, value="one")
-    t2 = env.timeout(2.0, value="two")
-    result = env.run(AllOf(env, [t1, t2]))
-    assert set(result.values()) == {"one", "two"}
-    assert env.now == 2.0
-
-
-def test_any_of_triggers_on_first():
-    env = Environment()
-    t1 = env.timeout(1.0, value="fast")
-    t2 = env.timeout(50.0, value="slow")
-    result = env.run(AnyOf(env, [t1, t2]))
-    assert "fast" in result.values()
-    assert env.now == pytest.approx(1.0)
-
-
-def test_condition_operators():
-    env = Environment()
-    t1 = env.timeout(1.0)
-    t2 = env.timeout(2.0)
-    both = t1 & t2
-    env.run(both)
-    assert env.now == 2.0
 
 
 def test_peek_returns_next_event_time():
