@@ -17,7 +17,7 @@ any INI file passed via ``--config``)::
     # Function names treated as wire-dispatch entry points by RL002
     # (a raise escaping one of these would crash the transport).
     dispatch_functions = handle, handle_dict, handle_wire, run_stream,
-        serve_connection, route_connection
+        serve_connection
     # module:NAME pairs of sanctioned process-global registries (RL004).
     registries = repro.faults.injector:_ACTIVE, ...
     # RL003 knobs: repeated-attribute-chain threshold inside one loop,
@@ -106,7 +106,6 @@ class LintConfig:
         "handle_wire",
         "run_stream",
         "serve_connection",
-        "route_connection",
     )
     wire_code_pattern: str = r"\b(?:SVC|PWR)_RET_[A-Z][A-Z_]*[A-Z]\b"
     registries: Tuple[str, ...] = _DEFAULT_REGISTRIES

@@ -50,20 +50,6 @@ class GridSearch(SearchAlgorithm):
         self._advance()
         return config
 
-    def ask_batch(self, n: int) -> List[Dict[str, Any]]:
-        """Pull the next ``n`` grid points (short or empty when exhausted).
-
-        Unlike :meth:`ask` there is no random fallback after exhaustion,
-        so ``while search.ask_batch(n): ...`` terminates for every ``n``.
-        """
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        out: List[Dict[str, Any]] = []
-        while len(out) < n and self._pending is not None:
-            out.append(self._pending)
-            self._advance()
-        return out
-
 
 @register_search
 class LatinHypercubeSearch(SearchAlgorithm):

@@ -10,14 +10,11 @@ journaling its own shards crash-safely.
 
 Run ``python -m repro.netserver`` to serve; drive it with
 :class:`AsyncServiceClient` (asyncio) or :class:`NetworkServiceClient`
-(synchronous, ``ServiceClient``-compatible).
+(``ServiceClient`` over a socket).  Both share the in-process client's
+sans-IO core and its one ``SessionHandle``.
 """
 
-from repro.netserver.client import (
-    AsyncServiceClient,
-    AsyncSessionHandle,
-    NetworkServiceClient,
-)
+from repro.netserver.client import AsyncServiceClient, NetworkServiceClient
 from repro.netserver.framing import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -33,7 +30,6 @@ from repro.netserver.server import NetworkServer, ServerLimits, tenant_of_envelo
 
 __all__ = [
     "AsyncServiceClient",
-    "AsyncSessionHandle",
     "NetworkServiceClient",
     "FRAME_HEADER",
     "MAX_FRAME_BYTES",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
 from typing import Optional, Sequence
 
 from repro.netserver.router import RouterServer, WorkerFleet
@@ -24,12 +23,6 @@ from repro.service.envelopes import PROTOCOL_VERSION
 from repro.service.service import StackService
 
 __all__ = ["main"]
-
-
-def _install_stop_handlers(stop: asyncio.Event) -> None:
-    loop = asyncio.get_running_loop()
-    loop.add_signal_handler(signal.SIGTERM, stop.set)
-    loop.add_signal_handler(signal.SIGINT, stop.set)
 
 
 async def _serve_single(args: argparse.Namespace) -> int:
@@ -42,12 +35,11 @@ async def _serve_single(args: argparse.Namespace) -> int:
     server = NetworkServer(
         service, host=args.host, port=args.port, journal_dir=args.journal_dir
     )
-    host, port = await server.start()
-    stop = asyncio.Event()
-    _install_stop_handlers(stop)
-    print(f"READY {host} {port} workers=0 protocol={PROTOCOL_VERSION}", flush=True)
-    await stop.wait()
-    await server.drain()
+
+    def announce(host: str, port: int) -> None:
+        print(f"READY {host} {port} workers=0 protocol={PROTOCOL_VERSION}", flush=True)
+
+    await server.serve_until_signal(announce)
     print(
         f"DRAINED connections={server.n_connections} requests={server.n_requests}",
         flush=True,
@@ -67,17 +59,16 @@ async def _serve_fleet(args: argparse.Namespace) -> int:
     loop = asyncio.get_running_loop()
     addrs = await loop.run_in_executor(None, fleet.start)
     router = RouterServer(addrs, host=args.host, port=args.port)
-    host, port = await router.start()
-    stop = asyncio.Event()
-    _install_stop_handlers(stop)
     worker_ports = ",".join(str(p) for _, p in addrs)
-    print(
-        f"READY {host} {port} workers={args.workers} "
-        f"worker_ports={worker_ports} protocol={PROTOCOL_VERSION}",
-        flush=True,
-    )
-    await stop.wait()
-    await router.drain()
+
+    def announce(host: str, port: int) -> None:
+        print(
+            f"READY {host} {port} workers={args.workers} "
+            f"worker_ports={worker_ports} protocol={PROTOCOL_VERSION}",
+            flush=True,
+        )
+
+    await router.serve_until_signal(announce)
     await loop.run_in_executor(None, fleet.stop)
     print(
         f"DRAINED connections={router.n_connections} "

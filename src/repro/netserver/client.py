@@ -1,40 +1,40 @@
 """Network clients for the framed-envelope transport.
 
+Both are transports over :class:`~repro.service.client.ClientCore`, so
+request ids, envelopes, error codes and the raising helpers are the
+in-process :class:`~repro.service.client.ServiceClient`'s own, and one
+:class:`~repro.service.client.SessionHandle` serves all three clients.
+
 :class:`AsyncServiceClient` is the asyncio-native client: calls are
 *pipelined* — many may be awaited concurrently over one connection, each
 correlated by the ``request_id`` its envelope carries, so responses may
-arrive in any order (and do, behind the multi-worker router).  The
-request/response semantics are identical to the in-process
-:class:`~repro.service.client.ServiceClient`: same envelopes, same error
-codes, same raising helpers.
+arrive in any order (and do, behind the multi-worker router).
 
-:class:`NetworkServiceClient` wraps it for synchronous callers by
-parking an event loop on a background thread — it is a drop-in for
-``ServiceClient`` in scripts and tests, down to reusing its
-:class:`~repro.service.client.SessionHandle`.
+:class:`NetworkServiceClient` is ``ServiceClient`` over a socket: its
+one transport method hands each request to an ``AsyncServiceClient``
+on an event loop parked on a background thread.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.netserver.framing import MAX_RESPONSE_BYTES, frame_text, read_frame
-from repro.service.client import ServiceCallError, SessionHandle
+from repro.service.client import ClientCore, ServiceClient, SessionHandle
 from repro.service.envelopes import Request, Response
 
-__all__ = ["AsyncServiceClient", "AsyncSessionHandle", "NetworkServiceClient"]
+__all__ = ["AsyncServiceClient", "NetworkServiceClient"]
 
 
-class AsyncServiceClient:
+class AsyncServiceClient(ClientCore):
     """Pipelined framed-envelope client (construct inside a running loop)."""
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        super().__init__()
         self.reader = reader
         self.writer = writer
-        self._request_ids = itertools.count(1)
         self._pending: Dict[str, asyncio.Future] = {}
         #: Responses whose request id matched nothing we sent (transport
         #: level failures answer with request id "0") — kept for
@@ -49,36 +49,30 @@ class AsyncServiceClient:
         return cls(reader, writer)
 
     # -- calls -------------------------------------------------------------
-    async def call(
-        self, op: str, session: Optional[str] = None, **args: Any
-    ) -> Response:
-        """Send one command; resolves when *its* response arrives.
+    async def send(self, request: Request) -> Response:
+        """Send one envelope; resolves when *its* response arrives.
 
-        Concurrent ``call``\\ s share the connection: ``asyncio.gather``
-        over many of them is the pipelined fast path.
+        Concurrent sends share the connection: ``asyncio.gather`` over
+        many calls is the pipelined fast path.
         """
         if self._closed:
             raise ConnectionError("client is closed")
-        request = Request(
-            op=op,
-            args=args,
-            session=session,
-            request_id=f"r{next(self._request_ids)}",
-        )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request.request_id] = future
         self.writer.write(frame_text(request.to_json()))
         await self.writer.drain()
         return await future
 
+    async def call(
+        self, op: str, session: Optional[str] = None, **args: Any
+    ) -> Response:
+        return await self.send(self.request(op, session, args))
+
     async def result(
         self, op: str, session: Optional[str] = None, **args: Any
     ) -> Any:
         """Like :meth:`call` but unwraps the result, raising on error."""
-        response = await self.call(op, session=session, **args)
-        if not response.ok:
-            raise ServiceCallError(response)
-        return response.result
+        return self.unwrap(await self.call(op, session=session, **args))
 
     async def open_session(
         self,
@@ -86,14 +80,11 @@ class AsyncServiceClient:
         role: str = "monitor",
         quota: Optional[int] = None,
         scope_hostnames: Optional[list] = None,
-    ) -> "AsyncSessionHandle":
-        args: Dict[str, Any] = {"tenant": tenant, "role": role}
-        if quota is not None:
-            args["quota"] = quota
-        if scope_hostnames is not None:
-            args["scope_hostnames"] = scope_hostnames
-        info = await self.result("session.open", **args)
-        return AsyncSessionHandle(self, info["session"], info)
+    ) -> SessionHandle:
+        info = await self.result(
+            "session.open", **self.session_args(tenant, role, quota, scope_hostnames)
+        )
+        return SessionHandle(self, info["session"], info)
 
     async def close(self) -> None:
         self._closed = True
@@ -147,45 +138,17 @@ class AsyncServiceClient:
                 future.set_exception(ConnectionError(reason))
 
 
-class AsyncSessionHandle:
-    """One open session over the network; carries its id on every call."""
+class NetworkServiceClient(ServiceClient):
+    """``ServiceClient`` over a socket.
 
-    def __init__(
-        self, client: AsyncServiceClient, session_id: str, info: Mapping[str, Any]
-    ):
-        self.client = client
-        self.session_id = session_id
-        self.info = dict(info)
-
-    async def call(self, op: str, **args: Any) -> Response:
-        return await self.client.call(op, session=self.session_id, **args)
-
-    async def result(self, op: str, **args: Any) -> Any:
-        return await self.client.result(op, session=self.session_id, **args)
-
-    async def close(self) -> Any:
-        return await self.result("session.close")
-
-    async def __aenter__(self) -> "AsyncSessionHandle":
-        return self
-
-    async def __aexit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        # Closing an already-closed session is a NO_SESSION error — fine
-        # to ignore on context exit (mirrors the sync SessionHandle).
-        await self.client.call("session.close", session=self.session_id)
-
-
-class NetworkServiceClient:
-    """Synchronous facade: ``ServiceClient`` semantics over a socket.
-
-    Runs a private event loop on a daemon thread; every method is a
-    blocking ``run_coroutine_threadsafe`` round trip.  Reuses the
-    in-process :class:`~repro.service.client.SessionHandle`, which only
-    needs ``call``/``result`` — so code written against ``ServiceClient``
+    Runs a private event loop on a daemon thread; each call is a blocking
+    ``run_coroutine_threadsafe`` round trip through an
+    :class:`AsyncServiceClient`.  Code written against ``ServiceClient``
     ports by swapping the constructor.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float = 30.0):
+        ClientCore.__init__(self)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="netserver-client", daemon=True
@@ -194,33 +157,17 @@ class NetworkServiceClient:
         future = asyncio.run_coroutine_threadsafe(
             AsyncServiceClient.connect(host, port), self._loop
         )
-        self._client = future.result(connect_timeout)
+        try:
+            self._client = future.result(connect_timeout)
+        except BaseException:
+            future.cancel()
+            self._stop_loop()
+            raise
 
-    def call(self, op: str, session: Optional[str] = None, **args: Any) -> Response:
+    def _send(self, request: Request) -> Response:
         return asyncio.run_coroutine_threadsafe(
-            self._client.call(op, session=session, **args), self._loop
+            self._client.send(request), self._loop
         ).result()
-
-    def result(self, op: str, session: Optional[str] = None, **args: Any) -> Any:
-        response = self.call(op, session=session, **args)
-        if not response.ok:
-            raise ServiceCallError(response)
-        return response.result
-
-    def open_session(
-        self,
-        tenant: str,
-        role: str = "monitor",
-        quota: Optional[int] = None,
-        scope_hostnames: Optional[list] = None,
-    ) -> SessionHandle:
-        args: Dict[str, Any] = {"tenant": tenant, "role": role}
-        if quota is not None:
-            args["quota"] = quota
-        if scope_hostnames is not None:
-            args["scope_hostnames"] = scope_hostnames
-        info = self.result("session.open", **args)
-        return SessionHandle(self, info["session"], info)
 
     def close(self) -> None:
         try:
@@ -228,9 +175,12 @@ class NetworkServiceClient:
                 self._client.close(), self._loop
             ).result(10.0)
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(10.0)
-            self._loop.close()
+            self._stop_loop()
+
+    def _stop_loop(self) -> None:
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(10.0)
+        self._loop.close()
 
     def __enter__(self) -> "NetworkServiceClient":
         return self

@@ -24,8 +24,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-import signal
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.netserver.framing import (
     MAX_RESPONSE_BYTES,
@@ -34,7 +33,12 @@ from repro.netserver.framing import (
     encode_frame,
     frame_text,
 )
-from repro.netserver.server import NetworkServer, ServerLimits, tenant_of_envelope
+from repro.netserver.server import (
+    FramedListener,
+    NetworkServer,
+    ServerLimits,
+    tenant_of_envelope,
+)
 from repro.service.envelopes import (
     Response,
     ServiceError,
@@ -52,8 +56,10 @@ def worker_for_tenant(tenant: str, n_workers: int) -> int:
     return stable_name_key(str(tenant)) % int(n_workers)
 
 
-class RouterServer:
+class RouterServer(FramedListener):
     """Accepts client connections; forwards envelopes by tenant affinity."""
+
+    kind = "router"
 
     def __init__(
         self,
@@ -65,75 +71,15 @@ class RouterServer:
     ):
         if not worker_addrs:
             raise ValueError("router needs at least one worker address")
+        super().__init__(host, port, max_connections)
         self.worker_addrs = [(str(h), int(p)) for h, p in worker_addrs]
-        self.host = host
-        self.port = int(port)
-        self.max_connections = int(max_connections)
         self.drain_timeout = float(drain_timeout)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set["_RoutedConnection"] = set()
-        self._draining = False
-        self.n_connections = 0
         self.n_forwarded = 0
-        self.n_refused = 0
 
-    async def start(self) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self.route_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.host, self.port
-
-    async def drain(self) -> None:
-        """Stop accepting, let every forwarded request answer, then close."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        connections = list(self._connections)
-        for connection in connections:
-            connection.begin_drain()
-        if connections:
-            await asyncio.gather(
-                *(connection.done.wait() for connection in connections)
-            )
-
-    async def route_connection(
+    def _connect(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One client connection end to end.
-
-        Wire-dispatch entry point (RL002): peer input and upstream
-        failures become structured failure frames or a closed socket,
-        never an escaping exception.
-        """
-        connection: Optional[_RoutedConnection] = None
-        try:
-            if self._draining or len(self._connections) >= self.max_connections:
-                self.n_refused += 1
-                reason = (
-                    "router is draining"
-                    if self._draining
-                    else f"connection limit {self.max_connections} reached"
-                )
-                response = Response.failure(ServiceErrorCode.QUOTA_EXCEEDED, reason)
-                writer.write(frame_text(response.to_json()))
-                await writer.drain()
-            else:
-                self.n_connections += 1
-                connection = _RoutedConnection(self, reader, writer)
-                self._connections.add(connection)
-                await connection.run()
-        except Exception:
-            pass  # one broken connection must never take down the router
-        finally:
-            if connection is not None:
-                self._connections.discard(connection)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    ) -> "_RoutedConnection":
+        return _RoutedConnection(self, reader, writer)
 
 
 class _RoutedConnection:
@@ -331,15 +277,12 @@ async def _worker_serve(
     server = NetworkServer(
         service, host=host, port=0, limits=limits, journal_dir=worker_dir
     )
-    await server.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    loop.add_signal_handler(signal.SIGTERM, stop.set)
-    loop.add_signal_handler(signal.SIGINT, stop.set)
-    ready.send(("ready", server.host, server.port))
-    ready.close()
-    await stop.wait()
-    await server.drain()
+
+    def announce(bound_host: str, bound_port: int) -> None:
+        ready.send(("ready", bound_host, bound_port))
+        ready.close()
+
+    await server.serve_until_signal(announce)
 
 
 def worker_main(

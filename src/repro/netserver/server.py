@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.netserver.framing import (
     MAX_FRAME_BYTES,
@@ -51,7 +52,7 @@ from repro.service.envelopes import (
 )
 from repro.service.service import StackService
 
-__all__ = ["ServerLimits", "NetworkServer", "tenant_of_envelope"]
+__all__ = ["ServerLimits", "FramedListener", "NetworkServer", "tenant_of_envelope"]
 
 
 def tenant_of_envelope(payload: Mapping[str, Any]) -> str:
@@ -95,42 +96,37 @@ class ServerLimits:
     dispatch_batch: int = 32
 
 
-class NetworkServer:
-    """Length-framed envelope server over one ``StackService``."""
+class FramedListener:
+    """One framed listener: admission, refusal, drain and the serve loop.
 
-    def __init__(
-        self,
-        service: StackService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        limits: Optional[ServerLimits] = None,
-        journal_dir: Optional[str] = None,
-    ):
-        self.service = service
+    :class:`NetworkServer` and the router's ``RouterServer`` differ only
+    in the connection object :meth:`_connect` builds for each admitted
+    peer — anything with ``run()``, ``begin_drain()`` and a ``done``
+    event.
+    """
+
+    #: Names the listener in the draining-refusal message.
+    kind = "server"
+
+    def __init__(self, host: str, port: int, max_connections: int):
         self.host = host
         self.port = int(port)
-        self.limits = limits if limits is not None else ServerLimits()
-        self.journal_dir = journal_dir
+        self.max_connections = int(max_connections)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._connections: Set["_Connection"] = set()
-        self._tenant_slots: Dict[str, asyncio.Semaphore] = {}
+        self._connections: Set[Any] = set()
         self._draining = False
         #: Lifetime counters (diagnostics + bench assertions).
         self.n_connections = 0
-        self.n_requests = 0
         self.n_refused = 0
+
+    def _connect(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Any:
+        raise NotImplementedError
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind and listen; returns the bound (host, port)."""
-        if self.journal_dir is not None and self.service.database.journal is None:
-            from repro.durability import attach
-
-            attach(self.service.database, self.journal_dir)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="svc-dispatch"
-        )
         self._server = await asyncio.start_server(
             self.serve_connection, self.host, self.port
         )
@@ -138,13 +134,7 @@ class NetworkServer:
         return self.host, self.port
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new work, finish in-flight, checkpoint.
-
-        The SIGTERM path: the listener closes, every connection's reader
-        stops consuming frames, queued requests are dispatched and their
-        responses flushed, and — with a journal attached — the database
-        is checkpointed so recovery replays nothing.
-        """
+        """Refuse new connections; let every admitted one finish its work."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -156,15 +146,19 @@ class NetworkServer:
             await asyncio.gather(
                 *(connection.done.wait() for connection in connections)
             )
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        database = self.service.database
-        if getattr(database, "journal", None) is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, database.checkpoint
-            )
 
-    # -- per-connection dispatch ------------------------------------------
+    async def serve_until_signal(self, announce: Callable[[str, int], None]) -> None:
+        """Start, announce ``(host, port)``, serve until SIGTERM/SIGINT, drain."""
+        host, port = await self.start()
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, stop.set)
+        loop.add_signal_handler(signal.SIGINT, stop.set)
+        announce(host, port)
+        await stop.wait()
+        await self.drain()
+
+    # -- per-connection admission -----------------------------------------
     async def serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -174,21 +168,21 @@ class NetworkServer:
         internal failure — may escape as an exception; errors become
         structured failure frames or a closed connection.
         """
-        connection: Optional[_Connection] = None
+        connection: Any = None
         try:
-            if self._draining or len(self._connections) >= self.limits.max_connections:
+            if self._draining or len(self._connections) >= self.max_connections:
                 self.n_refused += 1
                 reason = (
-                    "server is draining"
+                    f"{self.kind} is draining"
                     if self._draining
-                    else f"connection limit {self.limits.max_connections} reached"
+                    else f"connection limit {self.max_connections} reached"
                 )
                 response = Response.failure(ServiceErrorCode.QUOTA_EXCEEDED, reason)
                 writer.write(frame_text(response.to_json()))
                 await writer.drain()
             else:
                 self.n_connections += 1
-                connection = _Connection(self, reader, writer)
+                connection = self._connect(reader, writer)
                 self._connections.add(connection)
                 await connection.run()
         except Exception:
@@ -201,6 +195,59 @@ class NetworkServer:
                 await writer.wait_closed()
             except Exception:
                 pass
+
+
+class NetworkServer(FramedListener):
+    """Length-framed envelope server over one ``StackService``."""
+
+    def __init__(
+        self,
+        service: StackService,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        limits: Optional[ServerLimits] = None,
+        journal_dir: Optional[str] = None,
+    ):
+        self.limits = limits if limits is not None else ServerLimits()
+        super().__init__(host, port, self.limits.max_connections)
+        self.service = service
+        self.journal_dir = journal_dir
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._tenant_slots: Dict[str, asyncio.Semaphore] = {}
+        self.n_requests = 0
+
+    def _connect(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> "_Connection":
+        return _Connection(self, reader, writer)
+
+    async def start(self) -> Tuple[str, int]:
+        """Attach the journal, start the dispatch thread, bind and listen."""
+        if self.journal_dir is not None and self.service.database.journal is None:
+            from repro.durability import attach
+
+            attach(self.service.database, self.journal_dir)
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="svc-dispatch"
+        )
+        return await super().start()
+
+    async def drain(self) -> None:
+        """Graceful shutdown: refuse new work, finish in-flight, checkpoint.
+
+        The SIGTERM path: the listener closes, every connection's reader
+        stops consuming frames, queued requests are dispatched and their
+        responses flushed, and — with a journal attached — the database
+        is checkpointed so recovery replays nothing.
+        """
+        await super().drain()
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+        database = self.service.database
+        if getattr(database, "journal", None) is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, database.checkpoint
+            )
 
     def _tenant_slot(self, tenant: str) -> asyncio.Semaphore:
         slot = self._tenant_slots.get(tenant)

@@ -22,7 +22,7 @@ import argparse
 import sys
 from typing import IO, Optional, Sequence
 
-from repro.service.envelopes import PROTOCOL_VERSION
+from repro.service.envelopes import PROTOCOL_VERSION, Response, ServiceErrorCode
 from repro.service.service import StackService
 
 __all__ = ["main", "run_stream"]
@@ -46,10 +46,10 @@ def run_stream(service: StackService, lines: IO[str], out: IO[str], prompt: str 
         try:
             response = service.handle_wire(line)
         except Exception as error:  # the REPL loop must outlive any request
-            response = (
-                '{"ok": false, "code": "SVC_RET_INTERNAL", '
-                f'"error": "unhandled {type(error).__name__} in transport"}}'
-            )
+            response = Response.failure(
+                ServiceErrorCode.INTERNAL,
+                f"unhandled {type(error).__name__} in transport",
+            ).to_json()
         out.write(response + "\n")
         out.flush()
         handled += 1

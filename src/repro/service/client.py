@@ -1,9 +1,12 @@
-"""In-process client for :class:`~repro.service.service.StackService`.
+"""Clients for :class:`~repro.service.service.StackService`.
 
-The client always talks *wire*: every call serialises its request
-envelope to JSON, hands the JSON line to the service, and parses the
-JSON line that comes back.  There is no in-process fast path — so any
-command that works here works identically through a socket/HTTP
+:class:`ClientCore` is the sans-IO half every client shares: request ids,
+envelopes, result unwrapping and the ``session.open`` arguments.
+
+:class:`ServiceClient` always talks *wire*: every call serialises its
+request envelope to JSON, hands the JSON line to the service, and parses
+the JSON line that comes back.  There is no in-process fast path — so
+any command that works here works identically through a socket/HTTP
 front-end, and a test driving the client has exercised the full
 dict → wire → dict round trip by construction.
 """
@@ -16,7 +19,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.service.envelopes import Request, Response
 from repro.service.service import StackService
 
-__all__ = ["ServiceClient", "SessionHandle", "ServiceCallError"]
+__all__ = ["ClientCore", "ServiceClient", "SessionHandle", "ServiceCallError"]
 
 
 class ServiceCallError(RuntimeError):
@@ -29,36 +32,62 @@ class ServiceCallError(RuntimeError):
         self.code = error.get("code")
 
 
-class ServiceClient:
-    """Talks JSON lines to a service instance (or any compatible callable)."""
+class ClientCore:
+    """The protocol side of a client, with no IO: ids, envelopes, results."""
 
-    def __init__(self, service: StackService):
-        self.service = service
+    def __init__(self) -> None:
         self._request_ids = itertools.count(1)
 
-    def call(
-        self,
-        op: str,
-        session: Optional[str] = None,
-        **args: Any,
-    ) -> Response:
-        """Send one command; returns the parsed :class:`Response`."""
-        request = Request(
+    def request(self, op: str, session: Optional[str], args: Dict[str, Any]) -> Request:
+        """The next request envelope, numbered ``r1``, ``r2``, …"""
+        return Request(
             op=op,
             args=args,
             session=session,
             request_id=f"r{next(self._request_ids)}",
         )
-        wire_out = request.to_json()
-        wire_in = self.service.handle_wire(wire_out)
-        return Response.from_json(wire_in)
 
-    def result(self, op: str, session: Optional[str] = None, **args: Any) -> Any:
-        """Like :meth:`call` but unwraps the result, raising on error."""
-        response = self.call(op, session=session, **args)
+    @staticmethod
+    def unwrap(response: Response) -> Any:
+        """The result of ``response``; raises :class:`ServiceCallError` on error."""
         if not response.ok:
             raise ServiceCallError(response)
         return response.result
+
+    @staticmethod
+    def session_args(
+        tenant: str,
+        role: str = "monitor",
+        quota: Optional[int] = None,
+        scope_hostnames: Optional[list] = None,
+    ) -> Dict[str, Any]:
+        """The ``session.open`` arguments; unset options are left out."""
+        args: Dict[str, Any] = {"tenant": tenant, "role": role}
+        if quota is not None:
+            args["quota"] = quota
+        if scope_hostnames is not None:
+            args["scope_hostnames"] = scope_hostnames
+        return args
+
+
+class ServiceClient(ClientCore):
+    """Talks JSON lines to a service instance (or any compatible callable)."""
+
+    def __init__(self, service: StackService):
+        super().__init__()
+        self.service = service
+
+    def _send(self, request: Request) -> Response:
+        """The transport: one request envelope out, one response envelope in."""
+        return Response.from_json(self.service.handle_wire(request.to_json()))
+
+    def call(self, op: str, session: Optional[str] = None, **args: Any) -> Response:
+        """Send one command; returns the parsed :class:`Response`."""
+        return self._send(self.request(op, session, args))
+
+    def result(self, op: str, session: Optional[str] = None, **args: Any) -> Any:
+        """Like :meth:`call` but unwraps the result, raising on error."""
+        return self.unwrap(self.call(op, session=session, **args))
 
     def open_session(
         self,
@@ -67,24 +96,25 @@ class ServiceClient:
         quota: Optional[int] = None,
         scope_hostnames: Optional[list] = None,
     ) -> "SessionHandle":
-        args: Dict[str, Any] = {"tenant": tenant, "role": role}
-        if quota is not None:
-            args["quota"] = quota
-        if scope_hostnames is not None:
-            args["scope_hostnames"] = scope_hostnames
+        args = self.session_args(tenant, role, quota, scope_hostnames)
         info = self.result("session.open", **args)
         return SessionHandle(self, info["session"], info)
 
 
 class SessionHandle:
-    """One open session: every call carries the session id automatically."""
+    """One open session: every call carries the session id automatically.
 
-    def __init__(self, client: ServiceClient, session_id: str, info: Mapping[str, Any]):
+    Serves every client.  ``call``/``result``/``close`` return whatever
+    the client returns — an awaitable for the asyncio client, so it is
+    both a context manager and an async context manager.
+    """
+
+    def __init__(self, client: Any, session_id: str, info: Mapping[str, Any]):
         self.client = client
         self.session_id = session_id
         self.info = dict(info)
 
-    def call(self, op: str, **args: Any) -> Response:
+    def call(self, op: str, **args: Any) -> Any:
         return self.client.call(op, session=self.session_id, **args)
 
     def result(self, op: str, **args: Any) -> Any:
@@ -93,10 +123,16 @@ class SessionHandle:
     def close(self) -> Any:
         return self.result("session.close")
 
+    # Closing an already-closed session is a NO_SESSION error — fine to
+    # ignore on context exit.
     def __enter__(self) -> "SessionHandle":
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Closing an already-closed session is a NO_SESSION error — fine
-        # to ignore on context exit.
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.call("session.close")
+
+    async def __aenter__(self) -> "SessionHandle":
+        return self
+
+    async def __aexit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        await self.call("session.close")

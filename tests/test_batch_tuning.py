@@ -118,6 +118,7 @@ def test_grid_ask_batch_short_when_exhausted():
     batch = search.ask_batch(10)
     assert len(batch) == 4
     assert search.is_exhausted()
+    assert search.ask_batch(1) == []
 
 
 def test_genetic_ask_batch_breeds_from_population():

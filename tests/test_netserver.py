@@ -14,6 +14,7 @@ server fails the test instead of hanging the suite.
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -36,7 +37,7 @@ from repro.netserver import (
     worker_for_tenant,
 )
 from repro.service import MAX_WIRE_BYTES, StackService
-from repro.service.client import ServiceCallError, SessionHandle
+from repro.service.client import ServiceCallError, ServiceClient, SessionHandle
 from repro.service.envelopes import Response
 from repro.sim.rng import stable_name_key
 from repro.telemetry import ShardedPerformanceDatabase
@@ -200,6 +201,80 @@ def test_sync_wrapper_is_serviceclient_compatible():
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
         loop.close()
+
+
+def _client_script(client):
+    """One tuning round plus one failure, every response kept in order."""
+    responses = [client.call("session.open", tenant="acme", role="resource_manager")]
+    session = responses[0].result["session"]
+    responses.append(
+        client.call(
+            "tuning.open", session=session, parameters={"x": [1, 2, 3, 4]},
+            search="random", seed=7,
+        )
+    )
+    tuner_id = responses[-1].result["tuner_id"]
+    responses.append(client.call("tuning.ask", session=session, tuner_id=tuner_id, n=2))
+    results = [
+        {"config": config, "objective": float(i)}
+        for i, config in enumerate(responses[-1].result["configs"])
+    ]
+    responses.append(
+        client.call("tuning.tell", session=session, tuner_id=tuner_id, results=results)
+    )
+    responses.append(client.call("db.best_for", session=session, minimize=True))
+    responses.append(client.call("tuning.ask", session=session, tuner_id="nope"))
+    responses.append(client.call("session.close", session=session))
+    return responses
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_clients_are_interchangeable(transport):
+    expected = _client_script(ServiceClient(StackService(n_nodes=4, seed=0)))
+    assert [r.ok for r in expected] == [True] * 5 + [False, True]
+    assert [r.request_id for r in expected] == [f"r{i}" for i in range(1, 8)]
+    if transport == "in_process":
+        got = _client_script(ServiceClient(StackService(n_nodes=4, seed=0)))
+        assert got == expected
+        return
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = asyncio.run_coroutine_threadsafe(started_server(), loop).result(30)
+    try:
+        with NetworkServiceClient(server.host, server.port) as client:
+            got = _client_script(client)
+        assert got == expected
+    finally:
+        asyncio.run_coroutine_threadsafe(server.drain(), loop).result(30)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+
+
+def test_async_session_handle_closes_on_context_exit():
+    async def scenario():
+        server = await started_server()
+        async with await AsyncServiceClient.connect(server.host, server.port) as client:
+            async with await client.open_session("acme") as session:
+                assert isinstance(session, SessionHandle)
+                assert (await session.result("session.info"))["tenant"] == "acme"
+            after = await session.call("session.info")
+            assert after.error_code == "SVC_RET_NO_SESSION"
+        await server.drain()
+
+    run_async(scenario())
+
+
+def test_sync_client_connect_failure_leaks_no_thread():
+    # Bind then close a port so nothing listens on it.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with pytest.raises(OSError):
+        NetworkServiceClient("127.0.0.1", port)
+    alive = [t for t in threading.enumerate() if t.name == "netserver-client"]
+    assert alive == []
 
 
 # ---------------------------------------------------------------------------

@@ -880,6 +880,24 @@ def test_run_stream_outlives_hostile_lines():
     )
 
 
+def test_run_stream_fallback_line_is_an_envelope(monkeypatch):
+    """A transport-level crash still answers with a parseable envelope."""
+    service = make_service(n_nodes=2)
+
+    def explode(line):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(service, "handle_wire", explode)
+    out = io.StringIO()
+    handled = run_stream(service, io.StringIO('{"op":"service.ping"}\n'), out)
+    (line,) = out.getvalue().splitlines()
+    response = Response.from_json(line)
+    assert handled == 1
+    assert not response.ok
+    assert response.error_code == ServiceErrorCode.INTERNAL.value
+    assert "RuntimeError" in response.error["message"]
+
+
 # ---------------------------------------------------------------------------
 # tuning.run resilience (quota accounting on evaluator crashes)
 # ---------------------------------------------------------------------------
