@@ -16,7 +16,8 @@ Each parameter also exposes *vectorized* batch variants
 :meth:`Parameter.sample_array`) so :class:`~repro.core.space.ParameterSpace`
 can encode, decode and sample whole batches of configurations with numpy
 instead of per-value Python loops — the hot path of the batched tuning
-engine.
+engine.  Sampling has only the batch form: :meth:`Parameter.sample` is
+one draw of :meth:`Parameter.sample_array`.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class Parameter(abc.ABC):
         """Return a canonical version of ``value`` or raise ``ValueError``."""
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator) -> Any:
-        """Draw a uniform random value."""
-
-    @abc.abstractmethod
     def to_unit(self, value: Any) -> float:
         """Encode a value into [0, 1] for numeric surrogates."""
 
@@ -69,6 +66,14 @@ class Parameter(abc.ABC):
     @abc.abstractmethod
     def grid(self, resolution: int = 10) -> List[Any]:
         """Representative values for exhaustive/grid search."""
+
+    @abc.abstractmethod
+    def sample_array(self, rng: np.random.Generator, count: int) -> List[Any]:
+        """Draw ``count`` uniform random values."""
+
+    def sample(self, rng: np.random.Generator) -> Any:
+        """Draw one uniform random value."""
+        return self.sample_array(rng, 1)[0]
 
     def neighbors(self, value: Any, rng: np.random.Generator) -> List[Any]:
         """Values adjacent to ``value`` (default: one fresh sample)."""
@@ -82,10 +87,6 @@ class Parameter(abc.ABC):
     def from_unit_array(self, u: np.ndarray) -> List[Any]:
         """Decode a batch of [0, 1] positions (default: scalar loop)."""
         return [self.from_unit(float(x)) for x in np.asarray(u, dtype=float)]
-
-    def sample_array(self, rng: np.random.Generator, count: int) -> List[Any]:
-        """Draw ``count`` uniform random values (default: scalar loop)."""
-        return [self.sample(rng) for _ in range(count)]
 
     def grid_size(self, resolution: int = 10) -> int:
         """Number of grid points without materializing the grid list."""
@@ -117,9 +118,6 @@ class CategoricalParameter(Parameter):
         if self._key(value) not in self._index:
             raise ValueError(f"{self.name}: {value!r} not in {self.values}")
         return value
-
-    def sample(self, rng: np.random.Generator) -> Any:
-        return self.values[int(rng.integers(0, len(self.values)))]
 
     def to_unit(self, value: Any) -> float:
         idx = self._index[self._key(self.validate(value))]
@@ -218,9 +216,6 @@ class IntegerParameter(Parameter):
             raise ValueError(f"{self.name}: {value} outside [{self.low}, {self.high}]")
         return value
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.from_unit(float(rng.random()))
-
     def to_unit(self, value: Any) -> float:
         value = self.validate(value)
         if self.high == self.low:
@@ -303,9 +298,6 @@ class FloatParameter(Parameter):
         if not self.low - 1e-12 <= value <= self.high + 1e-12:
             raise ValueError(f"{self.name}: {value} outside [{self.low}, {self.high}]")
         return clamp(value, self.low, self.high)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.from_unit(float(rng.random()))
 
     def to_unit(self, value: Any) -> float:
         value = self.validate(value)

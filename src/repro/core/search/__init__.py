@@ -3,7 +3,10 @@
 The paper's framework leaves the search method open ("using random
 forests as default" in ytopt, §3.2.3; "one of many supported algorithms
 for the space state search" in READEX, §3.2.4).  This package provides a
-family of interchangeable algorithms behind one ask/tell interface:
+family of interchangeable algorithms behind one ask/tell interface.
+Each algorithm implements only the batch form (``_propose(n)`` behind
+``ask_batch``, optionally ``_observe`` behind ``tell_batch``); the scalar
+``ask``/``tell`` are sugar on the base class:
 
 * :class:`~repro.core.search.random_search.RandomSearch`
 * :class:`~repro.core.search.grid.GridSearch` and

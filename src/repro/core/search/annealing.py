@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -38,50 +38,31 @@ class SimulatedAnnealing(SearchAlgorithm):
         self._temperature = self.initial_temperature
         self._current: Optional[Dict[str, Any]] = None
         self._current_objective: Optional[float] = None
-        self._proposed: Optional[Dict[str, Any]] = None
         self._stale = 0
         #: Typical objective scale learned online, used to normalise deltas.
         self._scale: Optional[float] = None
 
-    def ask(self) -> Dict[str, Any]:
-        if self._current is None:
-            self._proposed = self._random_config()
-        else:
-            neighbors = self.space.neighbors(self._current, self.rng)
-            self._proposed = (
-                neighbors[int(self.rng.integers(0, len(neighbors)))]
-                if neighbors
-                else self._random_config()
-            )
-        return dict(self._proposed)
-
-    def ask_batch(self, n: int) -> List[Dict[str, Any]]:
+    def _propose(self, n: int) -> List[Dict[str, Any]]:
         """Propose a neighborhood batch around the current state.
 
         All proposals come from the *same* state (parallel tempering
-        style): distinct neighbors first (a random permutation, no
-        replacement — duplicates would waste whole evaluations), then
-        fresh random configurations as exploratory padding.  Acceptance
-        happens per-tell when the batch of objectives arrives.
+        style): distinct neighbors first (drawn without replacement —
+        duplicates would waste whole evaluations), then fresh random
+        configurations as exploratory padding.  Acceptance happens
+        per result when the batch of objectives arrives.
         """
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        if n == 1:
-            return [self.ask()]
         if self._current is None:
             return self.space.sample_many(self.rng, n)
         neighbors = self.space.neighbors(self._current, self.rng)
         if not neighbors:
             return self.space.sample_many(self.rng, n)
-        order = self.rng.permutation(len(neighbors))
-        out = [dict(neighbors[i]) for i in order[:n]]
+        picks = self.rng.choice(len(neighbors), size=min(n, len(neighbors)), replace=False)
+        out = [dict(neighbors[i]) for i in picks]
         if len(out) < n:
             out.extend(self.space.sample_many(self.rng, n - len(out)))
         return out
 
-    def tell(self, config: Mapping[str, Any], objective: float) -> None:
-        super().tell(config, objective)
-        objective = float(objective)
+    def _observe(self, config: Dict[str, Any], objective: float) -> None:
         if self._scale is None and np.isfinite(objective) and objective != 0:
             self._scale = abs(objective)
 

@@ -1,15 +1,15 @@
 """The ask/tell search interface and the algorithm factory.
 
-Besides the scalar ``ask()`` / ``tell()`` protocol, every algorithm
-supports a batch protocol — :meth:`SearchAlgorithm.ask_batch` proposes
-``n`` configurations at once and :meth:`SearchAlgorithm.tell_batch`
-reports their objectives together.  The base implementations fall back
-to scalar loops (and are exact for ``n == 1``, so a batch tuner with
-batch size 1 reproduces the sequential loop bit-for-bit); algorithms
-with natural batch structure (population proposals in the genetic
-search, single-surrogate-fit top-``n`` acquisition in the Bayesian and
-forest searches, batched grid/LHS draws) override them with efficient
-whole-generation versions.
+Every algorithm proposes through one primitive:
+:meth:`SearchAlgorithm.ask_batch` checks the batch size and calls the
+algorithm's ``_propose(n)``, and :meth:`SearchAlgorithm.tell_batch`
+records a batch of objectives and feeds each result to the ``_observe``
+hook in arrival order.  The scalar ``ask()`` / ``tell()`` are one-line
+sugar over the batch pair, so a batch tuner with batch size 1 and a
+one-at-a-time loop run the same code.  Algorithms with natural batch
+structure use it inside ``_propose``: population proposals in the
+genetic search, single-surrogate-fit top-``n`` acquisition in the
+Bayesian and forest searches, vectorized random and LHS draws.
 """
 
 from __future__ import annotations
@@ -59,32 +59,17 @@ class SearchAlgorithm(abc.ABC):
         self.history: List[Tuple[Dict[str, Any], float]] = []
 
     # -- interface -------------------------------------------------------------------
-    @abc.abstractmethod
-    def ask(self) -> Dict[str, Any]:
-        """Propose the next configuration to evaluate."""
-
-    def tell(self, config: Mapping[str, Any], objective: float) -> None:
-        """Report the measured objective for a configuration."""
-        self.history.append((dict(config), float(objective)))
-
-    # -- batch interface ---------------------------------------------------------------
     def ask_batch(self, n: int) -> List[Dict[str, Any]]:
         """Propose up to ``n`` configurations to evaluate together.
 
-        The default repeats :meth:`ask` without intermediate tells, so the
-        proposals are what the algorithm would ask with no new information
-        — exactly the parallel-evaluation semantics.  ``ask_batch(1)`` is
-        always equivalent to ``[ask()]``.  May return fewer than ``n``
-        configurations when the algorithm is exhausted mid-batch.
+        The proposals are what the algorithm would ask with no new
+        information — exactly the parallel-evaluation semantics.  May
+        return fewer than ``n`` configurations when the algorithm is
+        exhausted mid-batch.
         """
         if n < 1:
             raise ValueError("batch size must be >= 1")
-        out: List[Dict[str, Any]] = []
-        for _ in range(n):
-            if self.is_exhausted():
-                break
-            out.append(self.ask())
-        return out
+        return self._propose(n)
 
     def tell_batch(
         self, configs: Sequence[Mapping[str, Any]], objectives: Sequence[float]
@@ -95,7 +80,24 @@ class SearchAlgorithm(abc.ABC):
                 f"got {len(configs)} configs but {len(objectives)} objectives"
             )
         for config, objective in zip(configs, objectives):
-            self.tell(config, objective)
+            config, objective = dict(config), float(objective)
+            self.history.append((config, objective))
+            self._observe(config, objective)
+
+    def ask(self) -> Dict[str, Any]:
+        """Propose the next configuration to evaluate."""
+        return self.ask_batch(1)[0]
+
+    def tell(self, config: Mapping[str, Any], objective: float) -> None:
+        """Report the measured objective for a configuration."""
+        self.tell_batch([config], [objective])
+
+    @abc.abstractmethod
+    def _propose(self, n: int) -> List[Dict[str, Any]]:
+        """Up to ``n`` (``>= 1``) proposals given the history so far."""
+
+    def _observe(self, config: Dict[str, Any], objective: float) -> None:
+        """Per-result learning hook, called in arrival order (default: none)."""
 
     def is_exhausted(self) -> bool:
         """True when the algorithm has nothing new to propose (grid search)."""
@@ -107,7 +109,7 @@ class SearchAlgorithm(abc.ABC):
     ) -> List[Dict[str, Any]]:
         """Top-``n`` distinct configurations from ``pool`` by descending score.
 
-        Shared by the surrogate searches' ``ask_batch`` (one acquisition
+        Shared by the surrogate searches' ``_propose`` (one acquisition
         sweep, many proposals).  Pads with fresh random samples when the
         pool holds fewer than ``n`` distinct configurations; may return a
         short batch when the space itself is nearly exhausted.
@@ -137,29 +139,16 @@ class SearchAlgorithm(abc.ABC):
             return None
         return min(self.history, key=lambda item: item[1])
 
-    def observed_configs(self) -> List[Dict[str, Any]]:
-        return [config for config, _ in self.history]
-
-    def observed_objectives(self) -> np.ndarray:
-        return np.array([obj for _, obj in self.history], dtype=float)
-
-    def _random_config(self) -> Dict[str, Any]:
-        return self.space.sample(self.rng)
-
 
 class SurrogateSearch(SearchAlgorithm):
     """Shared skeleton for model-based searches (SMAC/BO style).
 
     Subclasses supply the surrogate by implementing :meth:`_fit` (train on
     the finite history, return the objective vector) and :meth:`_score`
-    (acquisition value for a candidate pool).  The skeleton provides both
-    loops: scalar :meth:`ask` (fit → scalar candidate pool → argmax) and
-    :meth:`ask_batch` (fit once → vectorized pool → top-``n`` distinct),
-    so the two paths cannot drift apart.
-
-    The scalar pool intentionally draws one config at a time (preserving
-    the historical sequential RNG stream) while the batch pool uses the
-    vectorized ``sample_many``; both are constraint-filtered.
+    (acquisition value for a candidate pool).  The skeleton provides the
+    one proposal loop: random warm-up, then fit once, score a
+    ``sample_many`` pool plus the neighbours of the incumbent, and return
+    the top-``n`` distinct candidates.
     """
 
     #: Objectives at or above this are treated as penalties, not data.
@@ -184,32 +173,12 @@ class SurrogateSearch(SearchAlgorithm):
             if np.isfinite(o) and o < self.PENALTY_THRESHOLD
         ]
 
-    def _candidate_pool(self) -> List[Dict[str, Any]]:
-        pool = [self._random_config() for _ in range(self.candidates)]
-        best = self.best()
-        if best is not None:
-            pool.extend(self.space.neighbors(best[0], self.rng))
-        return [c for c in pool if self.space.is_allowed(c)] or pool
-
-    def ask(self) -> Dict[str, Any]:
-        finite = self._finite_history()
-        if len(finite) < self.initial_random:
-            return self._random_config()
-        objectives = self._fit(finite)
-        pool = self._candidate_pool()
-        scores = self._score(pool, objectives)
-        return dict(pool[int(np.argmax(scores))])
-
-    def ask_batch(self, n: int) -> List[Dict[str, Any]]:
+    def _propose(self, n: int) -> List[Dict[str, Any]]:
         """Fit the surrogate once and return the top-``n`` distinct candidates.
 
         One surrogate fit + one acquisition sweep per batch instead of one
         per configuration — the dominant cost of the sequential loop.
         """
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        if n == 1:
-            return [self.ask()]
         finite = self._finite_history()
         if len(finite) < self.initial_random:
             return self.space.sample_many(self.rng, n)

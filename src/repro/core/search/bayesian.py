@@ -10,7 +10,7 @@ against the random-forest surrogate in the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -105,6 +105,3 @@ class GaussianProcessSearch(SurrogateSearch):
     def _score(self, pool: list, objectives: np.ndarray) -> np.ndarray:
         mean, std = self._gp.predict(self.space.encode_many(pool))
         return self._expected_improvement(mean, std, float(objectives.min()))
-
-    def tell(self, config: Mapping[str, Any], objective: float) -> None:
-        super().tell(config, objective)

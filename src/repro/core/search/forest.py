@@ -11,7 +11,7 @@ like SMAC-style tuners.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 from scipy.stats import norm
@@ -176,6 +176,3 @@ class RandomForestSearch(SurrogateSearch):
         improvement = float(objectives.min()) - mean - self.exploration
         z = improvement / std
         return improvement * norm.cdf(z) + std * norm.pdf(z)
-
-    def tell(self, config: Mapping[str, Any], objective: float) -> None:
-        super().tell(config, objective)

@@ -57,30 +57,9 @@ class GeneticAlgorithm(SearchAlgorithm):
                 mutated[name] = self.space[name].sample(self.rng)
         return mutated
 
-    # -- ask/tell ------------------------------------------------------------------------
-    def ask(self) -> Dict[str, Any]:
-        # Fill the initial population with random configurations first.
-        if len(self.history) < self.population_size:
-            return self._random_config()
-        for _ in range(30):
-            child = self._mutate(self._crossover(self._select_parent(), self._select_parent()))
-            if self.space.is_allowed(child):
-                return child
-        return self._random_config()
-
-    def tell(self, config: Mapping[str, Any], objective: float) -> None:
-        super().tell(config, objective)
-        self._population.append((dict(config), float(objective)))
-        self._population.sort(key=lambda item: item[1])
-        del self._population[self.population_size:]
-
     # -- batch interface: whole generations at once -----------------------------------
-    def ask_batch(self, n: int) -> List[Dict[str, Any]]:
+    def _propose(self, n: int) -> List[Dict[str, Any]]:
         """Propose a whole generation of offspring from the current population."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        if n == 1:
-            return [self.ask()]
         out: List[Dict[str, Any]] = []
         deficit = self.population_size - len(self.history)
         if deficit > 0:
@@ -98,19 +77,16 @@ class GeneticAlgorithm(SearchAlgorithm):
                     out.append(child)
                     break
             else:
-                out.append(self._random_config())
+                out.append(self.space.sample(self.rng))
         return out
+
+    def _observe(self, config: Dict[str, Any], objective: float) -> None:
+        self._population.append((config, objective))
 
     def tell_batch(
         self, configs: Sequence[Mapping[str, Any]], objectives: Sequence[float]
     ) -> None:
-        """Absorb a generation with a single sort instead of one per tell."""
-        if len(configs) != len(objectives):
-            raise ValueError(
-                f"got {len(configs)} configs but {len(objectives)} objectives"
-            )
-        for config, objective in zip(configs, objectives):
-            SearchAlgorithm.tell(self, config, objective)
-            self._population.append((dict(config), float(objective)))
+        """Absorb a generation with a single sort instead of one per result."""
+        super().tell_batch(configs, objectives)
         self._population.sort(key=lambda item: item[1])
         del self._population[self.population_size:]

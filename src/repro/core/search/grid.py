@@ -27,28 +27,18 @@ class GridSearch(SearchAlgorithm):
         super().__init__(space, seed)
         self.resolution = int(resolution)
         self._iterator: Iterator[Dict[str, Any]] = space.grid_configurations(self.resolution)
-        self._exhausted = False
-        self._pending: Optional[Dict[str, Any]] = None
-        self._advance()
-
-    def _advance(self) -> None:
-        try:
-            self._pending = next(self._iterator)
-        except StopIteration:
-            self._pending = None
-            self._exhausted = True
+        self._pending: Optional[Dict[str, Any]] = next(self._iterator, None)
 
     def is_exhausted(self) -> bool:
-        return self._exhausted
+        return self._pending is None
 
-    def ask(self) -> Dict[str, Any]:
-        if self._pending is None:
-            # Exhausted: fall back to random samples so callers asking for
-            # more evaluations than grid points still get configurations.
-            return self._random_config()
-        config = self._pending
-        self._advance()
-        return config
+    def _propose(self, n: int) -> List[Dict[str, Any]]:
+        """The next ``n`` grid points; a short batch once the grid runs out."""
+        out: List[Dict[str, Any]] = []
+        while len(out) < n and self._pending is not None:
+            out.append(self._pending)
+            self._pending = next(self._iterator, None)
+        return out
 
 
 @register_search
@@ -64,8 +54,7 @@ class LatinHypercubeSearch(SearchAlgorithm):
         self.batch = int(batch)
         self._queue: list = []
 
-    def _refill(self, size: Optional[int] = None) -> None:
-        size = size or self.batch
+    def _refill(self, size: int) -> None:
         dims = len(self.space)
         if dims == 0:
             raise ValueError("cannot search an empty space")
@@ -78,19 +67,10 @@ class LatinHypercubeSearch(SearchAlgorithm):
             if self.space.is_allowed(config):
                 self._queue.append(config)
         if not self._queue:  # all rows violated constraints: fall back
-            self._queue.append(self._random_config())
+            self._queue.append(self.space.sample(self.rng))
 
-    def ask(self) -> Dict[str, Any]:
-        if not self._queue:
-            self._refill()
-        return self._queue.pop(0)
-
-    def ask_batch(self, n: int) -> List[Dict[str, Any]]:
+    def _propose(self, n: int) -> List[Dict[str, Any]]:
         """Drain the stratified queue, refilling with whole LHS designs."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        if n == 1:
-            return [self.ask()]
         out: List[Dict[str, Any]] = []
         while len(out) < n:
             if not self._queue:

@@ -16,34 +16,17 @@ class RandomSearch(SearchAlgorithm):
 
     name = "random"
 
-    def __init__(self, space: ParameterSpace, seed: int = 0, avoid_repeats: bool = True):
+    def __init__(self, space: ParameterSpace, seed: int = 0):
         super().__init__(space, seed)
-        self.avoid_repeats = avoid_repeats
         self._seen: set = set()
 
-    _key = staticmethod(config_key)
-
-    def ask(self) -> Dict[str, Any]:
-        for _ in range(50):
-            config = self._random_config()
-            key = self._key(config)
-            if not self.avoid_repeats or key not in self._seen:
-                self._seen.add(key)
-                return config
-        # The space is (nearly) exhausted; allow a repeat rather than fail.
-        return self._random_config()
-
-    def ask_batch(self, n: int) -> List[Dict[str, Any]]:
+    def _propose(self, n: int) -> List[Dict[str, Any]]:
         """Draw a whole batch with one vectorized ``sample_many`` per round."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        if n == 1:
-            return [self.ask()]
         out: List[Dict[str, Any]] = []
         for _ in range(50):
             for config in self.space.sample_many(self.rng, n - len(out)):
-                key = self._key(config)
-                if not self.avoid_repeats or key not in self._seen:
+                key = config_key(config)
+                if key not in self._seen:
                     self._seen.add(key)
                     out.append(config)
                     if len(out) == n:

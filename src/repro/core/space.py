@@ -175,16 +175,9 @@ class ParameterSpace:
         """Whether a configuration passes the dependency constraints."""
         return self.constraints.allows_config(config)
 
-    def sample(self, rng: np.random.Generator, max_tries: int = 200) -> Dict[str, Any]:
+    def sample(self, rng: np.random.Generator) -> Dict[str, Any]:
         """Draw a random *allowed* configuration."""
-        for _ in range(max_tries):
-            config = {name: param.sample(rng) for name, param in self._parameters.items()}
-            if self.is_allowed(config):
-                return config
-        raise RuntimeError(
-            f"could not sample an allowed configuration from {self.name!r} "
-            f"after {max_tries} tries — constraints may be unsatisfiable"
-        )
+        return self.sample_many(rng, 1)[0]
 
     def sample_many(
         self, rng: np.random.Generator, count: int, max_rounds: int = 200
@@ -194,9 +187,7 @@ class ParameterSpace:
         Each round draws a whole batch column-wise (one vectorized
         ``sample_array`` call per parameter) and filters out configurations
         rejected by the constraints; rejected slots are redrawn the next
-        round.  This consumes the RNG differently from ``count`` scalar
-        :meth:`sample` calls, so batch and sequential paths are separate
-        deterministic streams.
+        round.  :meth:`sample` is the ``count == 1`` case.
         """
         if count <= 0:
             return []

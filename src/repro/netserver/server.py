@@ -212,6 +212,7 @@ class NetworkServer(FramedListener):
         super().__init__(host, port, self.limits.max_connections)
         self.service = service
         self.journal_dir = journal_dir
+        self._owns_journal = False
         self._executor: Optional[ThreadPoolExecutor] = None
         self._tenant_slots: Dict[str, asyncio.Semaphore] = {}
         self.n_requests = 0
@@ -227,6 +228,7 @@ class NetworkServer(FramedListener):
             from repro.durability import attach
 
             attach(self.service.database, self.journal_dir)
+            self._owns_journal = True
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="svc-dispatch"
         )
@@ -238,7 +240,8 @@ class NetworkServer(FramedListener):
         The SIGTERM path: the listener closes, every connection's reader
         stops consuming frames, queued requests are dispatched and their
         responses flushed, and — with a journal attached — the database
-        is checkpointed so recovery replays nothing.
+        is checkpointed so recovery replays nothing.  A journal that
+        :meth:`start` attached is then closed.
         """
         await super().drain()
         if self._executor is not None:
@@ -248,6 +251,8 @@ class NetworkServer(FramedListener):
             await asyncio.get_running_loop().run_in_executor(
                 None, database.checkpoint
             )
+            if self._owns_journal:
+                database.detach_journal().close()
 
     def _tenant_slot(self, tenant: str) -> asyncio.Semaphore:
         slot = self._tenant_slots.get(tenant)

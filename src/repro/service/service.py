@@ -1363,36 +1363,42 @@ class StackService:
                 )
             objective = entry["objective"]
             metrics = entry.get("metrics", {})
+            feasible = entry.get("feasible", True)
             if not (
                 _KIND_CHECKS["dict"](entry["config"])
                 and _KIND_CHECKS["dict"](metrics)
                 and _KIND_CHECKS["number"](objective)
+                and _KIND_CHECKS["bool"](feasible)
+                and all(_KIND_CHECKS["number"](v) for v in metrics.values())
             ):
                 raise ServiceError(
                     ServiceErrorCode.BAD_REQUEST,
-                    "each result needs a 'config' object, a numeric 'objective' "
-                    "and an optional 'metrics' object",
+                    "each result needs a 'config' object, a numeric 'objective', "
+                    "an optional 'metrics' object of numbers and an optional "
+                    "boolean 'feasible'",
                 )
             # ``abs(x) <= max`` fails for NaN, ±inf and for ints too large
             # to become a float (``math.isfinite`` would raise on those).
-            if not abs(objective) <= sys.float_info.max:
-                raise ServiceError(ServiceErrorCode.BAD_VALUE, "objective must be finite")
+            if not all(abs(x) <= sys.float_info.max for x in (objective, *metrics.values())):
+                raise ServiceError(
+                    ServiceErrorCode.BAD_VALUE, "objective and metric values must be finite"
+                )
             try:
                 config = state.space.validate(dict(entry["config"]))
             except (KeyError, TypeError, ValueError) as error:
                 raise ServiceError(ServiceErrorCode.BAD_VALUE, str(error)) from error
-            objective = float(objective)
-            metrics = dict(metrics)
-            feasible = bool(entry.get("feasible", True))
-            parsed.append((config, objective, metrics, feasible))
+            parsed.append((config, float(objective), dict(metrics), feasible))
         session.charge(len(parsed))
+        state.search.tell_batch(
+            [config for config, _, _, _ in parsed],
+            [
+                PENALTY_OBJECTIVE if not feasible
+                else objective if state.minimize else -objective
+                for _, objective, _, feasible in parsed
+            ],
+        )
+        state.told += len(parsed)
         for config, objective, metrics, feasible in parsed:
-            if not feasible:
-                search_value = PENALTY_OBJECTIVE
-            else:
-                search_value = objective if state.minimize else -objective
-            state.search.tell(config, search_value)
-            state.told += 1
             self.database.add_evaluation(
                 config=config,
                 metrics=metrics,

@@ -1,13 +1,14 @@
 """Tests for the batched tuning engine.
 
 Covers the batch ask/tell protocol of every registered search algorithm
-(determinism under a fixed seed, validity of proposals), the
-Autotuner's equivalence at batch size 1 to a one-at-a-time reference
-loop, evaluation memoization, thread-pool evaluation, the vectorized
+(determinism under a fixed seed, validity of proposals, pinned proposal
+streams), the Autotuner's equivalence at batch size 1 to a one-at-a-time
+reference loop, evaluation memoization, thread-pool evaluation, the vectorized
 ParameterSpace batch APIs, and the O(1) running best of the performance
 database.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -87,16 +88,65 @@ def test_ask_batch_deterministic_for_fixed_seed(name):
     assert trajectory() == trajectory()
 
 
-@pytest.mark.parametrize("name", ALL_SEARCHES)
-def test_ask_batch_of_one_matches_scalar_ask(name):
-    batched = make_search(name, make_space(), seed=9)
-    scalar = make_search(name, make_space(), seed=9)
-    for _ in range(10):
-        (b,) = batched.ask_batch(1)
-        s = scalar.ask()
-        assert b == s
-        batched.tell_batch([b], [evaluator(b)["runtime_s"]])
-        scalar.tell(s, evaluator(s)["runtime_s"])
+def _trajectory_digest(name, n, seed, rounds=20):
+    """Digest of the configs an ask/tell loop proposes over ``rounds``."""
+    search = make_search(name, make_space(), seed=seed)
+    digest = hashlib.sha256()
+    for _ in range(rounds):
+        batch = [search.ask()] if n == 1 else search.ask_batch(n)
+        digest.update(repr([sorted(c.items()) for c in batch]).encode())
+        if n == 1:
+            search.tell(batch[0], evaluator(batch[0])["runtime_s"])
+        else:
+            search.tell_batch(batch, [evaluator(c)["runtime_s"] for c in batch])
+    return digest.hexdigest()[:16]
+
+
+#: Pinned proposal streams, keyed by (algorithm, batch size, seed).  The
+#: entries not commented below are unchanged since the scalar ``ask``
+#: path existed beside ``ask_batch``, so they pin that collapsing the two
+#: left those streams bit-identical.
+PINNED_TRAJECTORIES = {
+    ("annealing", 1, 0): "57cc93f63f082018",
+    ("annealing", 1, 9): "b834e55e03bce9e2",
+    # Moved: batch neighbours are drawn with ``rng.choice(..., replace=False)``
+    # instead of a full ``rng.permutation`` (n=1 draws as before).
+    ("annealing", 4, 0): "de6f5e7813e46467",
+    ("annealing", 4, 9): "f5a40fb569700c9c",
+    # Moved: after warm-up the one-at-a-time candidate pool became the
+    # column-wise ``sample_many`` pool the batch path always used.
+    ("bayesian", 1, 0): "5d7bba027c079c81",
+    ("bayesian", 1, 9): "892f89508116d15b",
+    ("bayesian", 4, 0): "d8f84157e6c6e26d",
+    ("bayesian", 4, 9): "d7a38607ffbb4424",
+    # Same pool change as bayesian at n=1; seed 0 happens to pick the
+    # same configs from the new pool, seed 9 moved.
+    ("forest", 1, 0): "a342054c76e6b0d7",
+    ("forest", 1, 9): "ff91d5090809981f",
+    ("forest", 4, 0): "d653686bd9c64576",
+    ("forest", 4, 9): "8089cfbc67b9aae3",
+    ("genetic", 1, 0): "961117a19e17e82e",
+    ("genetic", 1, 9): "f5d5e8382275fe7d",
+    ("genetic", 4, 0): "c0634561eff48f85",
+    ("genetic", 4, 9): "8bc81e36de713e17",
+    ("grid", 1, 0): "d98646c0021394d0",
+    ("grid", 1, 9): "d98646c0021394d0",
+    ("grid", 4, 0): "0deb65fd073c39e6",
+    ("grid", 4, 9): "0deb65fd073c39e6",
+    ("lhs", 1, 0): "8101cb370ce4afc8",
+    ("lhs", 1, 9): "aa313811acfeec22",
+    ("lhs", 4, 0): "9272919e8d8ae630",
+    ("lhs", 4, 9): "a5d219666ae73f89",
+    ("random", 1, 0): "2052e0c731ef7c13",
+    ("random", 1, 9): "4577c0b6f9eac0bf",
+    ("random", 4, 0): "4b17db3d7701eda9",
+    ("random", 4, 9): "68b2edf310ff9f2c",
+}
+
+
+@pytest.mark.parametrize("name, n, seed", sorted(PINNED_TRAJECTORIES))
+def test_search_trajectory_is_pinned(name, n, seed):
+    assert _trajectory_digest(name, n, seed) == PINNED_TRAJECTORIES[name, n, seed]
 
 
 def test_ask_batch_rejects_bad_size():

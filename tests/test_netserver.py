@@ -451,6 +451,7 @@ def test_drain_finishes_inflight_work_and_checkpoints(tmp_path):
     n_records = run_async(scenario())
     assert n_records >= 1
     recovered = ShardedPerformanceDatabase.recover(str(tmp_path))
+    recovered.detach_journal().close()
     assert len(recovered) == n_records
 
 
@@ -509,6 +510,7 @@ def test_fleet_routes_by_stable_hash_out_of_order_and_recovers(tmp_path):
     assert out_of_order
     # per-worker crash-safe state: worker 0 journaled every evaluation
     recovered = ShardedPerformanceDatabase.recover(fleet.worker_journal_dir(0))
+    recovered.detach_journal().close()
     assert len(recovered) == n_evals
     merged = recovered.merged()
     assert recovered.best_for(minimize=True) == merged.best_for(minimize=True)
@@ -541,4 +543,5 @@ def test_fleet_survives_sigkill_via_journal(tmp_path):
     finally:
         fleet.stop()
     recovered = ShardedPerformanceDatabase.recover(fleet.worker_journal_dir(0))
+    recovered.detach_journal().close()
     assert len(recovered) == n_evals >= 1

@@ -684,6 +684,13 @@ _BAD_VALUE = ServiceErrorCode.BAD_VALUE.value
         ({"config": {"x": {"nested": 1}}}, _BAD_VALUE),
         ({"metrics": [["runtime_s", 1.0]]}, _BAD_REQUEST),
         ({"metrics": 1}, _BAD_REQUEST),
+        ({"feasible": "false"}, _BAD_REQUEST),
+        ({"feasible": None}, _BAD_REQUEST),
+        ({"metrics": {"runtime_s": "1.0"}}, _BAD_REQUEST),
+        ({"metrics": {"runtime_s": True}}, _BAD_REQUEST),
+        ({"metrics": {"runtime_s": math.nan}}, _BAD_VALUE),
+        ({"metrics": {"runtime_s": math.inf}}, _BAD_VALUE),
+        ({"metrics": {"runtime_s": 10**400}}, _BAD_VALUE),
     ],
 )
 def test_tuning_tell_rejects_malformed_results_without_side_effects(change, code):
